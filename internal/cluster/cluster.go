@@ -14,7 +14,8 @@
 //   - The Coordinator admits jobs over the same HTTP surface weserve
 //     exposes (POST /v1/jobs, NDJSON /stream, DELETE, /metrics, /readyz),
 //     places each job on a live worker, relays its sample stream to the
-//     client, and aggregates fleet meters. On worker loss it re-dispatches
+//     client, and aggregates fleet meters. Its jobs live in a serve.Manager
+//     with a remote runner (jobs.go), so job bookkeeping is the daemon's. On worker loss it re-dispatches
 //     the job's normalized spec to another worker and suppresses the rows
 //     already delivered — the deterministic re-run (PR 7's resume contract)
 //     makes the client-visible stream bit-identical to an uninterrupted

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,10 +27,10 @@ type CoordinatorConfig struct {
 	// MaxAttempts bounds how many workers one job may be dispatched to
 	// before it fails with reason "worker_lost" (default 5).
 	MaxAttempts int
-	// Journal, when non-nil, makes job hand-off durable: accepted specs,
-	// relay progress, and terminal records are journaled in the serve
-	// frame format, and incomplete jobs are re-dispatched at boot. The
-	// coordinator takes ownership and closes it on Close.
+	// Journal, when non-nil, makes job hand-off durable: the coordinator's
+	// serve.Manager journals accepted specs, relay progress, and terminal
+	// records, and re-dispatches incomplete jobs at boot. The coordinator
+	// takes ownership and closes it on Close.
 	Journal *serve.Journal
 	// DispatchTimeout bounds one submit/status call to a worker (default
 	// 10s). Streams are not bounded by it.
@@ -53,9 +54,6 @@ func (c CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = 10 * time.Second
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = serve.DefaultCacheBytes
 	}
 	return c, nil
 }
@@ -87,49 +85,38 @@ const ReasonWorkerLost = "worker_lost"
 
 // Coordinator is the fleet frontend: worker registry and liveness, job
 // placement, stream relay with hand-off, and aggregated meters, served over
-// the same HTTP surface as a single weserve daemon.
+// the same HTTP surface as a single weserve daemon. Its jobs live in a
+// serve.Manager — the same table, result cache, journal, retention, and
+// counters a daemon has — whose runner (fleetRunner) places them on
+// workers.
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	hc    *http.Client // dispatch/status calls (bounded)
 	sc    *http.Client // stream relays (unbounded)
 	start time.Time
+	mgr   *serve.Manager
 
 	mu      sync.Mutex
 	workers []workerSlot
 	rr      int // round-robin placement cursor
-	jobs    map[string]*cjob
-	order   []string
-	seq     int64
-	closed  bool
 
-	jl atomic.Pointer[serve.Journal]
-
-	// results memoizes completed fleet jobs by their worker-reported spec
-	// digest (nil when disabled); normEnv is the normalization environment
-	// adopted from worker heartbeats, needed to compute lookup digests
-	// coordinator-side. Until the first heartbeat arrives, submissions
-	// dispatch normally (a startup window of misses, never a wrong hit).
-	results *serve.ResultCache
+	// normEnv is the normalization environment adopted from worker
+	// heartbeats, needed to compute result-cache digests coordinator-side.
+	// Until the first heartbeat arrives, submissions dispatch normally (a
+	// startup window of misses, never a wrong hit).
 	normEnv atomic.Pointer[serve.NormEnv]
 
-	jobsSubmitted atomic.Int64
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCancelled atomic.Int64
-	jobsShed      atomic.Int64
 	shedForwarded atomic.Int64
 	handoffs      atomic.Int64
-	samples       atomic.Int64
-	inFlight      atomic.Int64
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	ctx  context.Context // parent of every relay; cancelled by Close
+	stop context.CancelFunc
+	wg   sync.WaitGroup // relays
 }
 
-// NewCoordinator builds the fleet frontend and starts its liveness loop.
-// With a journal attached, terminal jobs rehydrate and incomplete jobs are
-// re-dispatched (suppressing already-durable rows) once workers join.
+// NewCoordinator builds the fleet frontend. With a journal attached,
+// terminal jobs rehydrate and incomplete jobs are re-dispatched
+// (suppressing already-durable rows) once workers join.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -141,71 +128,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		sc:      &http.Client{},
 		start:   time.Now(),
 		workers: make([]workerSlot, cfg.Workers),
-		jobs:    make(map[string]*cjob),
-		stop:    make(chan struct{}),
 	}
-	if cfg.CacheBytes > 0 {
-		co.results = serve.NewResultCache(cfg.CacheBytes)
-	}
-	if cfg.Journal != nil {
-		co.jl.Store(cfg.Journal)
-		co.recoverFromJournal(cfg.Journal)
-		cfg.Journal.SetSnapshot(co.snapshotRecords)
-	}
-	co.wg.Add(1)
-	go co.livenessLoop()
+	co.ctx, co.stop = context.WithCancel(context.Background())
+	co.mgr = serve.NewManagerWith(fleetRunner{co}, serve.Config{Journal: cfg.Journal, CacheBytes: cfg.CacheBytes})
 	return co, nil
 }
 
-// Close stops placement (later submissions shed with "draining"), cancels
-// relays, and closes the journal. Worker processes are not touched.
-func (co *Coordinator) Close() {
-	co.mu.Lock()
-	already := co.closed
-	co.closed = true
-	jobs := make([]*cjob, 0, len(co.jobs))
-	for _, j := range co.jobs {
-		jobs = append(jobs, j)
-	}
-	co.mu.Unlock()
-	if already {
-		co.wg.Wait()
-		return
-	}
-	co.stopOnce.Do(func() { close(co.stop) })
-	for _, j := range jobs {
-		j.abandon()
-	}
-	co.wg.Wait()
-	if jl := co.jl.Swap(nil); jl != nil {
-		jl.Close()
-	}
-}
-
-func (co *Coordinator) journal() *serve.Journal { return co.jl.Load() }
-
-// livenessLoop ages out workers whose heartbeats stopped.
-func (co *Coordinator) livenessLoop() {
-	defer co.wg.Done()
-	period := co.cfg.HeartbeatTimeout / 4
-	if period < 50*time.Millisecond {
-		period = 50 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.stop:
-			return
-		case <-t.C:
-			// Liveness is computed from lastSeen at read time; the ticker
-			// only bounds how long a dead worker can pin its slot before a
-			// replacement may re-register into it (nothing to do here —
-			// register() checks staleness itself). Kept as a goroutine so a
-			// future epoch/rebalance step has a home.
-		}
-	}
-}
+// Close stops placement (later submissions shed with "draining"), abandons
+// in-flight jobs without journaling them terminal (a restart re-dispatches
+// them), and closes the journal. Worker processes are not touched.
+func (co *Coordinator) Close() { co.mgr.Close() }
 
 func (co *Coordinator) alive(s *workerSlot, now time.Time) bool {
 	return s.addr != "" && now.Sub(s.lastSeen) <= co.cfg.HeartbeatTimeout
@@ -456,7 +388,7 @@ func (co *Coordinator) Summary(refresh bool) ClusterSummary {
 		Workers:      make([]WorkerSummary, len(co.workers)),
 		WorkersTotal: len(co.workers),
 		Handoffs:     co.handoffs.Load(),
-		Cache:        co.ResultCacheStats(),
+		Cache:        co.mgr.ResultCacheStats(),
 	}
 	out.CacheHits = out.Cache.Hits
 	out.CacheMisses = out.Cache.Misses
@@ -480,10 +412,7 @@ func (co *Coordinator) Summary(refresh bool) ClusterSummary {
 // ResultCacheStats returns the coordinator-side result cache snapshot
 // (Enabled false, all zeros, when disabled).
 func (co *Coordinator) ResultCacheStats() serve.ResultCacheStats {
-	if co.results == nil {
-		return serve.ResultCacheStats{}
-	}
-	return co.results.Stats()
+	return co.mgr.ResultCacheStats()
 }
 
 // Handler returns the coordinator's HTTP surface: the weserve-compatible
@@ -524,15 +453,15 @@ func (co *Coordinator) Handler() http.Handler {
 			"uptime_s":      time.Since(co.start).Seconds(),
 			"workers_live":  co.WorkersLive(),
 			"workers_total": co.cfg.Workers,
-			"jobs_inflight": co.inFlight.Load(),
-			"samples":       co.samples.Load(),
+			"jobs_inflight": co.mgr.Metrics().InFlight(),
+			"samples":       co.mgr.Metrics().Samples(),
 		})
 	}
 	mux.HandleFunc("/healthz", live)
 	mux.HandleFunc("/livez", live)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		draining := co.mgr.Draining()
 		co.mu.Lock()
-		draining := co.closed
 		complete := co.completeLocked(time.Now())
 		partitioned := co.partitionedLocked()
 		co.mu.Unlock()
@@ -555,104 +484,20 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, co.Summary(r.URL.Query().Get("refresh") != "0"))
 	})
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			co.handleSubmit(w, r)
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, map[string]any{"jobs": co.List()})
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
-		}
-	})
-	mux.HandleFunc("/v1/jobs/", co.handleJob)
+	jobs := serve.JobHandler(co.mgr, func(j *serve.Job) any { return co.status(j) })
+	mux.Handle("/v1/jobs", jobs)
+	mux.Handle("/v1/jobs/", jobs)
 	return mux
-}
-
-// shed writes the coordinator's own typed 503 (reason it generated itself —
-// worker sheds are forwarded verbatim by handleSubmit instead).
-func shedOwn(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":          reason,
-		"retry_after_ms": int64(1000),
-	})
-}
-
-// forwardResponse relays a worker's HTTP response unchanged: status code,
-// Retry-After hint, and body — so a worker's typed queue_full 503 reaches
-// the client exactly as the worker wrote it (no double-shedding).
-func forwardResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
 }
 
 // List returns snapshots of all coordinator jobs in submission order.
 func (co *Coordinator) List() []JobStatus {
-	co.mu.Lock()
-	jobs := make([]*cjob, 0, len(co.order))
-	for _, id := range co.order {
-		jobs = append(jobs, co.jobs[id])
-	}
-	co.mu.Unlock()
+	jobs := co.mgr.Jobs()
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.status()
+		out[i] = co.status(j)
 	}
 	return out
-}
-
-// getJob returns the coordinator job with the given id.
-func (co *Coordinator) getJob(id string) (*cjob, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	return j, ok
-}
-
-func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, stream := trimID(r.URL.Path)
-	j, ok := co.getJob(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-		return
-	}
-	switch {
-	case stream && r.Method == http.MethodGet:
-		j.streamTo(w, r)
-	case r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, j.status())
-	case r.Method == http.MethodDelete:
-		co.cancelJob(j)
-		writeJSON(w, http.StatusOK, j.status())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET for status/stream or DELETE to cancel")
-	}
-}
-
-// trimID extracts the job id and stream flag from a /v1/jobs/ subpath.
-func trimID(path string) (string, bool) {
-	rest := path
-	for len(rest) > 0 && rest[0] == '/' {
-		rest = rest[1:]
-	}
-	const prefix = "v1/jobs/"
-	if len(rest) >= len(prefix) && rest[:len(prefix)] == prefix {
-		rest = rest[len(prefix):]
-	}
-	for len(rest) > 0 && rest[len(rest)-1] == '/' {
-		rest = rest[:len(rest)-1]
-	}
-	if len(rest) > len("/stream") && rest[len(rest)-len("/stream"):] == "/stream" {
-		return rest[:len(rest)-len("/stream")], true
-	}
-	return rest, false
 }
 
 // readBody reads at most 1 MiB of a response body (worker error bodies are

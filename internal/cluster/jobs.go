@@ -24,239 +24,77 @@ type JobStatus struct {
 	Attempts int `json:"attempts"`
 }
 
-// cjob is one coordinator job: the client-facing replica of a job running on
-// some worker. Its sample log is append-only and index-deduplicated, so a
-// hand-off re-run (which replays the deterministic sequence from row 0)
-// extends the log exactly where the lost worker stopped.
-type cjob struct {
-	co  *Coordinator
-	id  string
-	seq int64
-	ctx context.Context // cancelled on job cancel or coordinator close
+// fleetRunner is the coordinator's serve.Runner. The coordinator's
+// serve.Manager owns the jobs; this runner places each one on a live
+// worker, relays the worker's sample stream into it, and hands it to
+// another worker when its worker is lost. serve.Job.Publish drops rows
+// already in the log, so a hand-off re-run (which replays the deterministic
+// sequence from row 0) extends the stream exactly where the lost worker
+// stopped.
+type fleetRunner struct{ co *Coordinator }
 
+func (r fleetRunner) Env() (serve.NormEnv, bool) {
+	if env := r.co.normEnv.Load(); env != nil {
+		return *env, true
+	}
+	return serve.NormEnv{}, false
+}
+
+func (r fleetRunner) FleetQueries() int64 { return r.co.FleetQueries() }
+
+func (r fleetRunner) Place(ctx context.Context, spec serve.JobSpec) (serve.Placement, error) {
+	return r.co.place(ctx, spec)
+}
+
+func (r fleetRunner) Start(j *serve.Job) error {
+	r.co.startRelay(j)
+	return nil
+}
+
+func (r fleetRunner) Resume(jobs []*serve.Job) {
+	for _, j := range jobs {
+		j.SetRunState(&remoteJob{})
+		r.co.startRelay(j)
+	}
+}
+
+func (r fleetRunner) Cancel(j *serve.Job) { r.co.cancelJob(j) }
+
+// Close stops every relay without finishing its job: the jobs are
+// abandoned, their journals stay non-terminal, and a restarted coordinator
+// re-dispatches them. Worker processes are not touched.
+func (r fleetRunner) Close() {
+	r.co.stop()
+	r.co.wg.Wait()
+}
+
+// remoteJob is the fleet runner's state for one job (serve.Job.RunState).
+type remoteJob struct {
 	mu        sync.Mutex
-	cond      sync.Cond
-	cancelFn  context.CancelFunc
-	spec      serve.JobSpec // normalized by the first worker's admission
-	digest    string        // canonical content address (worker- or coordinator-computed)
-	state     serve.JobState
-	errMsg    string
-	reason    string
-	samples   []serve.Sample
-	result    *serve.JobResult
-	worker    int // current placement (-1 none)
-	attempts  int
-	remoteID  string // job id on the placed worker
-	durable   int    // journal progress high-water (suppresses re-appends)
-	abandoned bool   // coordinator closed mid-job; streamers unblock
-	cancelled bool   // client requested cancellation
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	pl        *placement         // current (or last) placement; nil before the first
+	attempts  int                // dispatches so far
+	cancelled bool               // the client asked to cancel
+	stop      context.CancelFunc // stops the relay
 }
 
-func (co *Coordinator) newCJob(id string, seq int64, spec serve.JobSpec) *cjob {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &cjob{
-		co: co, id: id, seq: seq, ctx: ctx, cancelFn: cancel,
-		spec: spec, state: serve.JobQueued, worker: -1,
-		submitted: time.Now(),
-	}
-	j.cond.L = &j.mu
-	return j
+func remoteOf(j *serve.Job) *remoteJob {
+	rj, _ := j.RunState().(*remoteJob)
+	return rj
 }
 
-func (j *cjob) wake() {
-	j.mu.Lock()
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-// abandon unblocks streamers and stops the relay without journaling a
-// terminal record — the accepted record stays, so a restarted coordinator
-// re-dispatches the job (kill -9 takes this same path implicitly).
-func (j *cjob) abandon() {
-	j.cancelFn()
-	j.mu.Lock()
-	j.abandoned = true
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-// publish appends rows whose index continues the log; replayed duplicates
-// from a hand-off re-run are dropped. Returns the new log length.
-func (j *cjob) publish(batch []serve.Sample) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	accepted := 0
-	for _, s := range batch {
-		if s.Index == len(j.samples) {
-			j.samples = append(j.samples, s)
-			accepted++
+// status renders a coordinator job: result-cache hits and jobs rehydrated
+// from the journal were never placed (worker -1, attempts 0).
+func (co *Coordinator) status(j *serve.Job) JobStatus {
+	st := JobStatus{JobStatus: j.Status(), Worker: -1}
+	if rj := remoteOf(j); rj != nil {
+		rj.mu.Lock()
+		if rj.pl != nil {
+			st.Worker = rj.pl.idx
 		}
+		st.Attempts = rj.attempts
+		rj.mu.Unlock()
 	}
-	if accepted > 0 {
-		j.co.samples.Add(int64(accepted))
-		j.cond.Broadcast()
-	}
-	return len(j.samples)
-}
-
-// finalize moves the job to a terminal state exactly once, updates the
-// coordinator counters, and journals the terminal record (outside the
-// job lock — journal rotation snapshots back through it).
-func (j *cjob) finalize(state serve.JobState, errMsg, reason string, result *serve.JobResult) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.errMsg = errMsg
-	j.reason = reason
-	j.result = result
-	j.finished = time.Now()
-	rec := j.recordLocked()
-	j.cond.Broadcast()
-	j.mu.Unlock()
-	j.cancelFn()
-
-	co := j.co
-	co.inFlight.Add(-1)
-	switch state {
-	case serve.JobDone:
-		co.jobsDone.Add(1)
-	case serve.JobCancelled:
-		co.jobsCancelled.Add(1)
-	default:
-		co.jobsFailed.Add(1)
-	}
-	if jl := co.journal(); jl != nil {
-		jl.AppendTerminal(rec)
-	}
-}
-
-// recordLocked snapshots the job as a journal record. mu held.
-func (j *cjob) recordLocked() serve.JobRecord {
-	rec := serve.JobRecord{
-		ID: j.id, Seq: j.seq, Digest: j.digest, Spec: j.spec, State: j.state,
-		Error: j.errMsg, Reason: j.reason, Durable: j.durable,
-		Result:      j.result,
-		SubmittedMS: j.submitted.UnixMilli(),
-	}
-	if !j.started.IsZero() {
-		rec.StartedMS = j.started.UnixMilli()
-	}
-	if !j.finished.IsZero() {
-		rec.FinishedMS = j.finished.UnixMilli()
-	}
-	if j.state.Terminal() {
-		rec.Rows = append([]serve.Sample(nil), j.samples...)
-		rec.Durable = len(j.samples)
-	}
-	return rec
-}
-
-func (j *cjob) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := serve.JobStatus{
-		ID: j.id, State: j.state, Spec: j.spec,
-		Error: j.errMsg, FailureReason: j.reason, Digest: j.digest,
-		Samples: len(j.samples), Result: j.result,
-	}
-	switch {
-	case !j.started.IsZero():
-		st.QueueMS = float64(j.started.Sub(j.submitted)) / 1e6
-	case j.state.Terminal():
-		st.QueueMS = float64(j.finished.Sub(j.submitted)) / 1e6
-	default:
-		st.QueueMS = float64(time.Since(j.submitted)) / 1e6
-	}
-	switch {
-	case j.started.IsZero():
-	case j.finished.IsZero():
-		st.RunMS = float64(time.Since(j.started)) / 1e6
-	default:
-		st.RunMS = float64(j.finished.Sub(j.started)) / 1e6
-	}
-	return JobStatus{JobStatus: st, Worker: j.worker, Attempts: j.attempts}
-}
-
-// waitSamples blocks until rows beyond from exist, the job is terminal (or
-// abandoned), or ctx is done. Mirrors serve.Job's streaming contract.
-func (j *cjob) waitSamples(ctx context.Context, from int) ([]serve.Sample, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for len(j.samples) <= from && !j.state.Terminal() && !j.abandoned && ctx.Err() == nil {
-		j.cond.Wait()
-	}
-	return j.samples[from:], j.state.Terminal() || j.abandoned
-}
-
-// streamTo serves the job's NDJSON stream: every row (replaying from the
-// start), then one terminal line — byte-compatible with a single daemon's
-// /stream, whatever hand-offs happened underneath.
-func (j *cjob) streamTo(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	stop := context.AfterFunc(r.Context(), j.wake)
-	defer stop()
-	from := 0
-	for {
-		batch, terminal := j.waitSamples(r.Context(), from)
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				return
-			}
-		}
-		from += len(batch)
-		if fl != nil {
-			fl.Flush()
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		if terminal && len(batch) == 0 {
-			st := j.status()
-			line := map[string]any{
-				"done":    true,
-				"state":   st.State,
-				"samples": st.Samples,
-				"error":   st.Error,
-			}
-			if st.FailureReason != "" {
-				line["failure_reason"] = st.FailureReason
-			}
-			if st.Result != nil && st.Result.Cached {
-				line["cached"] = true
-			}
-			enc.Encode(line)
-			if fl != nil {
-				fl.Flush()
-			}
-			return
-		}
-	}
-}
-
-// forwarded is a worker response held for verbatim relay to the client.
-type forwarded struct {
-	code       int
-	retryAfter string
-	body       []byte
-}
-
-func (f *forwarded) write(w http.ResponseWriter) {
-	if f.retryAfter != "" {
-		w.Header().Set("Retry-After", f.retryAfter)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(f.code)
-	w.Write(f.body)
+	return st
 }
 
 // placement is a successful dispatch: where the job landed and the worker's
@@ -268,18 +106,35 @@ type placement struct {
 	status serve.JobStatus
 }
 
+// place dispatches a fresh submission. Every worker shedding relays the
+// last worker's 503 as it stands (counted as forwarded); no live worker at
+// all sheds with the coordinator's own no_workers reason.
+func (co *Coordinator) place(ctx context.Context, spec serve.JobSpec) (serve.Placement, error) {
+	pl, ref := co.dispatchOnce(ctx, spec)
+	switch {
+	case pl != nil:
+		return serve.Placement{Spec: pl.status.Spec, Digest: pl.status.Digest,
+			State: &remoteJob{pl: pl, attempts: 1}}, nil
+	case ref == nil:
+		return serve.Placement{}, serve.Shed(ShedNoWorkers)
+	case ref.Code == http.StatusServiceUnavailable:
+		co.shedForwarded.Add(1)
+	}
+	return serve.Placement{}, ref
+}
+
 // dispatchOnce tries each live worker once (round-robin from the cursor).
 // Outcomes: a placement; a response to relay verbatim (every worker shed →
 // the last 503, or a 4xx rejection → immediately, since validation is
 // deterministic across workers); or (nil, nil) — no live worker answered.
-func (co *Coordinator) dispatchOnce(ctx context.Context, spec serve.JobSpec) (*placement, *forwarded) {
+func (co *Coordinator) dispatchOnce(ctx context.Context, spec serve.JobSpec) (*placement, *serve.Refusal) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return nil, &forwarded{code: http.StatusBadRequest,
-			body: []byte(fmt.Sprintf("{\"error\":%q}", err.Error()))}
+		return nil, &serve.Refusal{Code: http.StatusBadRequest,
+			Body: []byte(fmt.Sprintf("{\"error\":%q}", err.Error()))}
 	}
 	tried := make(map[int]bool)
-	var lastShed *forwarded
+	var lastShed *serve.Refusal
 	for {
 		idx, addr, gen, ok := co.pickWorker(tried)
 		if !ok {
@@ -298,6 +153,8 @@ func (co *Coordinator) dispatchOnce(ctx context.Context, spec serve.JobSpec) (*p
 		}
 		respBody := readBody(resp.Body)
 		resp.Body.Close()
+		ref := &serve.Refusal{Code: resp.StatusCode,
+			RetryAfter: resp.Header.Get("Retry-After"), Body: respBody}
 		switch {
 		case resp.StatusCode == http.StatusAccepted:
 			var st serve.JobStatus
@@ -310,223 +167,112 @@ func (co *Coordinator) dispatchOnce(ctx context.Context, spec serve.JobSpec) (*p
 			// Worker-side shed (queue_full / draining): hold it for verbatim
 			// relay — the typed reason and Retry-After must reach the client
 			// unchanged, with no coordinator shed layered on top.
-			lastShed = &forwarded{code: resp.StatusCode,
-				retryAfter: resp.Header.Get("Retry-After"), body: respBody}
+			lastShed = ref
 		default:
-			return nil, &forwarded{code: resp.StatusCode,
-				retryAfter: resp.Header.Get("Retry-After"), body: respBody}
+			return nil, ref
 		}
 	}
 }
 
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec serve.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
-		return
-	}
-	co.mu.Lock()
-	closed := co.closed
-	co.mu.Unlock()
-	if closed {
-		co.jobsShed.Add(1)
-		shedOwn(w, "draining")
-		return
-	}
-	// Fleet-side result cache: normalize and digest the spec under the env
-	// adopted from worker heartbeats, and answer a memoized digest without
-	// dispatching to any worker — no fleet occupancy, no worker round trip,
-	// and (like the serve-layer cache) no shed path can refuse it. A spec
-	// the env rejects falls through: the worker's own validation produces
-	// the client-facing error, keeping rejections identical either way.
-	if co.results != nil {
-		if env := co.normEnv.Load(); env != nil {
-			if norm, err := serve.NormalizeSpec(spec, *env); err == nil {
-				digest := serve.SpecDigest(*env, norm)
-				if rows, cres, ok := co.results.Get(digest); ok {
-					writeJSON(w, http.StatusAccepted, co.admitCached(norm, digest, rows, cres))
-					return
-				}
-			}
-		}
-	}
-	pl, fwd := co.dispatchOnce(r.Context(), spec)
-	if pl == nil {
-		if fwd != nil {
-			if fwd.code == http.StatusServiceUnavailable {
-				co.jobsShed.Add(1)
-				co.shedForwarded.Add(1)
-			}
-			fwd.write(w)
-			return
-		}
-		co.jobsShed.Add(1)
-		shedOwn(w, ShedNoWorkers)
-		return
-	}
-
-	co.mu.Lock()
-	co.seq++
-	id := fmt.Sprintf("job-%06d", co.seq)
-	j := co.newCJob(id, co.seq, pl.status.Spec)
-	j.digest = pl.status.Digest
-	j.worker = pl.idx
-	j.remoteID = pl.status.ID
-	j.attempts = 1
-	j.started = time.Now()
-	co.jobs[id] = j
-	co.order = append(co.order, id)
-	co.mu.Unlock()
-
-	co.jobsSubmitted.Add(1)
-	co.inFlight.Add(1)
-	if jl := co.journal(); jl != nil {
-		j.mu.Lock()
-		rec := j.recordLocked()
-		j.mu.Unlock()
-		jl.AppendAccepted(rec)
-	}
+// startRelay starts the job's relay. It runs in the manager's admission
+// critical section (or at boot recovery), so Close always waits for it.
+func (co *Coordinator) startRelay(j *serve.Job) {
+	rj := remoteOf(j)
+	ctx, stop := context.WithCancel(co.ctx)
+	rj.mu.Lock()
+	rj.stop = stop
+	pl := rj.pl
+	rj.mu.Unlock()
+	j.Begin()
 	co.wg.Add(1)
-	go co.relay(j, pl)
-	writeJSON(w, http.StatusAccepted, j.status())
+	go co.relay(ctx, j, rj, pl)
 }
 
-// admitCached registers a repeat submission as an instantly-terminal
-// coordinator job served from the result cache: the original run's rows
-// verbatim, a fresh summary charging zero queries, and no worker placement
-// (Worker stays -1, Attempts 0 — the fleet never saw it). The terminal
-// record is journaled (terminal records are self-contained at replay), so
-// the hit survives coordinator restarts like any relayed completion.
-func (co *Coordinator) admitCached(spec serve.JobSpec, digest string, rows []serve.Sample, cres *serve.JobResult) JobStatus {
-	fleet := co.FleetQueries()
-	now := time.Now()
-	co.mu.Lock()
-	co.seq++
-	id := fmt.Sprintf("job-%06d", co.seq)
-	j := co.newCJob(id, co.seq, spec)
-	j.digest = digest
-	j.state = serve.JobDone
-	j.samples = rows
-	j.durable = len(rows)
-	j.result = &serve.JobResult{
-		Samples:        cres.Samples,
-		Queries:        0,
-		FleetQueries:   fleet,
-		AcceptanceRate: cres.AcceptanceRate,
-		Estimate:       cres.Estimate,
-		Nodes:          cres.Nodes,
-		Cached:         true,
-	}
-	j.started = now
-	j.finished = now
-	co.jobs[id] = j
-	co.order = append(co.order, id)
-	co.mu.Unlock()
-	co.jobsSubmitted.Add(1)
-	co.jobsDone.Add(1)
-	if jl := co.journal(); jl != nil {
-		j.mu.Lock()
-		rec := j.recordLocked()
-		j.mu.Unlock()
-		jl.AppendTerminal(rec)
-	}
-	return j.status()
-}
-
-// cancelJob cancels a coordinator job: forward the DELETE to the placed
-// worker (the relay then observes the cancelled terminal) and finalize
-// directly when the job has no placement to forward to.
-func (co *Coordinator) cancelJob(j *cjob) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.cancelled = true
-	addr, remoteID := "", j.remoteID
-	if j.worker >= 0 {
-		co.mu.Lock()
-		if j.worker < len(co.workers) {
-			addr = co.workers[j.worker].addr
-		}
-		co.mu.Unlock()
-	}
-	j.mu.Unlock()
-	if addr != "" && remoteID != "" {
-		req, err := http.NewRequest(http.MethodDelete, addr+"/v1/jobs/"+remoteID, nil)
+// cancelJob forwards the client's cancel to the placed worker (the relay
+// then observes the worker's cancelled terminal) and stops the relay
+// directly when there is no reachable placement to forward to.
+func (co *Coordinator) cancelJob(j *serve.Job) {
+	rj := remoteOf(j)
+	rj.mu.Lock()
+	rj.cancelled = true
+	pl, stop := rj.pl, rj.stop
+	rj.mu.Unlock()
+	if pl != nil {
+		req, err := http.NewRequest(http.MethodDelete, pl.addr+"/v1/jobs/"+pl.status.ID, nil)
 		if err == nil {
 			if resp, err := co.hc.Do(req); err == nil {
 				resp.Body.Close()
-				return // relay observes the terminal state and finalizes
+				return
 			}
 		}
 	}
-	j.finalize(serve.JobCancelled, "cancelled by client", "", nil)
+	stop()
+}
+
+// stopped settles a job whose relay context ended: a client cancel
+// finishes it cancelled; a coordinator Close abandons it unfinished.
+func (co *Coordinator) stopped(j *serve.Job, rj *remoteJob) {
+	rj.mu.Lock()
+	cancelled := rj.cancelled
+	rj.mu.Unlock()
+	if cancelled {
+		j.Finish(serve.JobCancelled, "cancelled by client", "", nil)
+	}
 }
 
 // streamLine is one decoded NDJSON line from a worker stream: either a
 // sample row or the terminal marker.
 type streamLine struct {
-	Done  bool `json:"done"`
-	Index *int `json:"i"`
-	Node  int  `json:"node"`
-	Steps int  `json:"steps"`
+	Done  bool  `json:"done"`
+	Index *int  `json:"i"`
+	Node  int   `json:"node"`
+	Steps int   `json:"steps"`
 	Cost  int64 `json:"cost"`
 }
 
-// relay follows the job's sample stream on its placed worker, republishing
-// rows to coordinator streamers and journaling progress. When the stream
-// dies before a terminal line — worker crash, network loss, or a worker
-// restart that forgot the job — it hands the job off: re-dispatch the
-// normalized spec to another live worker and keep relaying; the re-run's
-// replayed prefix is absorbed by index dedup. Attempts are capped; past the
-// cap the job fails with reason "worker_lost".
-func (co *Coordinator) relay(j *cjob, pl *placement) {
+// relay follows the job's sample stream on its placed worker, publishing
+// rows into the job. When the stream dies before a terminal line — worker
+// crash, network loss, or a worker restart that forgot the job — it hands
+// the job off: re-dispatch the normalized spec to another live worker and
+// keep relaying. A resumed job starts unplaced (pl nil). Attempts are
+// capped; past the cap the job fails with reason "worker_lost".
+func (co *Coordinator) relay(ctx context.Context, j *serve.Job, rj *remoteJob, pl *placement) {
 	defer co.wg.Done()
+	defer rj.stop()
 	for {
-		ok := co.relayOnce(j, pl)
-		if ok {
+		if pl == nil {
+			if pl = co.redispatch(ctx, j, rj); pl == nil {
+				return // redispatch settled the job
+			}
+		}
+		if co.relayOnce(ctx, j, pl) {
 			return
 		}
-		if j.ctx.Err() != nil {
-			// Cancelled or coordinator closing: the worker may still hold the
-			// job; finalize only on explicit cancel (abandon leaves the
-			// journal non-terminal for restart re-dispatch).
-			j.mu.Lock()
-			cancelled := j.cancelled
-			j.mu.Unlock()
-			if cancelled {
-				j.finalize(serve.JobCancelled, "cancelled by client", "", nil)
-			}
+		if ctx.Err() != nil {
+			co.stopped(j, rj)
 			return
 		}
 		co.markDead(pl.idx, pl.gen)
-		j.mu.Lock()
-		j.attempts++
-		attempts := j.attempts
-		j.mu.Unlock()
+		rj.mu.Lock()
+		rj.attempts++
+		attempts := rj.attempts
+		rj.mu.Unlock()
 		if attempts > co.cfg.MaxAttempts {
-			j.finalize(serve.JobFailed,
+			j.Finish(serve.JobFailed,
 				fmt.Sprintf("lost %d workers running this job", attempts-1),
 				ReasonWorkerLost, nil)
 			return
 		}
 		co.handoffs.Add(1)
-		next := co.redispatch(j)
-		if next == nil {
-			return // redispatch finalized the job (or the job was abandoned)
-		}
-		pl = next
+		pl = nil
 	}
 }
 
 // relayOnce streams the job once from its current placement. It returns
-// true when the job reached a terminal state (job finalized), false when
+// true when the job reached a terminal state (job finished), false when
 // the stream died first (caller hands off).
-func (co *Coordinator) relayOnce(j *cjob, pl *placement) bool {
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet,
+func (co *Coordinator) relayOnce(ctx context.Context, j *serve.Job, pl *placement) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		pl.addr+"/v1/jobs/"+pl.status.ID+"/stream", nil)
 	if err != nil {
 		return false
@@ -539,7 +285,6 @@ func (co *Coordinator) relayOnce(j *cjob, pl *placement) bool {
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	jl := co.journal()
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var line streamLine
@@ -547,33 +292,19 @@ func (co *Coordinator) relayOnce(j *cjob, pl *placement) bool {
 			return false // stream died before the terminal line
 		}
 		if line.Done {
-			return co.finishFromWorker(j, pl)
+			return co.finishFromWorker(ctx, j, pl)
 		}
-		if line.Index == nil {
-			continue
-		}
-		n := j.publish([]serve.Sample{{
-			Index: *line.Index, Node: line.Node, Steps: line.Steps, Cost: line.Cost,
-		}})
-		if jl != nil {
-			j.mu.Lock()
-			advanced := n > j.durable
-			if advanced {
-				j.durable = n
-			}
-			j.mu.Unlock()
-			if advanced {
-				jl.AppendProgress(j.id, n)
-			}
+		if line.Index != nil {
+			j.Publish(serve.Sample{Index: *line.Index, Node: line.Node, Steps: line.Steps, Cost: line.Cost})
 		}
 	}
 }
 
 // finishFromWorker pulls the terminal status (with its result summary) from
-// the worker and finalizes the coordinator job. A worker that claims done on
-// the stream but cannot produce a terminal status is treated as lost.
-func (co *Coordinator) finishFromWorker(j *cjob, pl *placement) bool {
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet,
+// the worker and finishes the job with it. A worker that claims done on the
+// stream but cannot produce a terminal status is treated as lost.
+func (co *Coordinator) finishFromWorker(ctx context.Context, j *serve.Job, pl *placement) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		pl.addr+"/v1/jobs/"+pl.status.ID, nil)
 	if err != nil {
 		return false
@@ -588,165 +319,48 @@ func (co *Coordinator) finishFromWorker(j *cjob, pl *placement) bool {
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil || !st.State.Terminal() {
 		return false
 	}
-	if st.State == serve.JobDone && st.Digest != "" && co.results != nil {
-		// Memoize the clean completion under the worker's digest. The row
-		// log is complete (the terminal line follows every relayed row) and
-		// append-only, so sharing it with the cache is safe; Put itself
-		// drops partial results.
-		j.mu.Lock()
-		j.digest = st.Digest
-		rows := j.samples
-		j.mu.Unlock()
-		co.results.Put(st.Digest, rows, st.Result)
-	}
-	j.finalize(st.State, st.Error, st.FailureReason, st.Result)
+	j.Finish(st.State, st.Error, st.FailureReason, st.Result)
 	return true
 }
 
-// redispatch places the job on another live worker after a loss, retrying
-// through sheds and worker gaps for up to redispatchWindow. A 4xx relay is
-// impossible here (the spec was already accepted once), so a forwarded
-// rejection fails the job.
+// redispatch places the job on a live worker after a loss (or at resume),
+// retrying through sheds and worker gaps for up to redispatchWindow. A 4xx
+// relay is impossible here (the spec was already accepted once), so a
+// forwarded rejection fails the job.
 const redispatchWindow = 30 * time.Second
 
-func (co *Coordinator) redispatch(j *cjob) *placement {
-	j.mu.Lock()
-	spec := j.spec
-	j.mu.Unlock()
+func (co *Coordinator) redispatch(ctx context.Context, j *serve.Job, rj *remoteJob) *placement {
 	deadline := time.Now().Add(redispatchWindow)
 	for {
-		if j.ctx.Err() != nil {
-			j.mu.Lock()
-			cancelled := j.cancelled
-			j.mu.Unlock()
-			if cancelled {
-				j.finalize(serve.JobCancelled, "cancelled by client", "", nil)
-			}
+		if ctx.Err() != nil {
+			co.stopped(j, rj)
 			return nil
 		}
-		pl, fwd := co.dispatchOnce(j.ctx, spec)
+		pl, ref := co.dispatchOnce(ctx, j.Spec())
 		if pl != nil {
-			j.mu.Lock()
-			j.worker = pl.idx
-			j.remoteID = pl.status.ID
-			j.mu.Unlock()
-			if jl := co.journal(); jl != nil {
-				// Re-append accepted: replay keeps the latest spec for the id
-				// (renormalization is idempotent, so this is a no-op refresh).
-				j.mu.Lock()
-				rec := j.recordLocked()
-				j.mu.Unlock()
-				jl.AppendAccepted(rec)
+			rj.mu.Lock()
+			rj.pl = pl
+			if rj.attempts == 0 {
+				rj.attempts = 1
 			}
+			rj.mu.Unlock()
 			return pl
 		}
-		if fwd != nil && fwd.code != http.StatusServiceUnavailable {
-			j.finalize(serve.JobFailed,
-				fmt.Sprintf("re-dispatch rejected: %s", string(fwd.body)),
+		if ref != nil && ref.Code != http.StatusServiceUnavailable {
+			j.Finish(serve.JobFailed,
+				fmt.Sprintf("re-dispatch rejected: %s", string(ref.Body)),
 				ReasonWorkerLost, nil)
 			return nil
 		}
 		if time.Now().After(deadline) {
-			j.finalize(serve.JobFailed,
+			j.Finish(serve.JobFailed,
 				fmt.Sprintf("no worker accepted the job within %s of losing its worker", redispatchWindow),
 				ReasonWorkerLost, nil)
 			return nil
 		}
 		select {
-		case <-j.ctx.Done():
+		case <-ctx.Done():
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-}
-
-// recoverFromJournal folds the replayed journal into the job table:
-// terminal records rehydrate (status + full row log, zero re-execution);
-// incomplete records re-enter the dispatch path once workers join, their
-// already-durable rows suppressed from re-journaling by the durable
-// high-water mark. Called from NewCoordinator before the HTTP surface is up.
-func (co *Coordinator) recoverFromJournal(jl *serve.Journal) {
-	recs, seq := jl.Recovered()
-	co.mu.Lock()
-	if seq > co.seq {
-		co.seq = seq
-	}
-	var resume []*cjob
-	for i := range recs {
-		rec := recs[i]
-		j := co.newCJob(rec.ID, rec.Seq, rec.Spec)
-		if rec.SubmittedMS > 0 {
-			j.submitted = time.UnixMilli(rec.SubmittedMS)
-		}
-		if rec.StartedMS > 0 {
-			j.started = time.UnixMilli(rec.StartedMS)
-		}
-		if rec.Seq > co.seq {
-			co.seq = rec.Seq
-		}
-		if rec.State.Terminal() {
-			j.state = rec.State
-			j.errMsg = rec.Error
-			j.reason = rec.Reason
-			j.digest = rec.Digest
-			j.result = rec.Result
-			j.samples = rec.Rows
-			j.durable = len(rec.Rows)
-			if rec.FinishedMS > 0 {
-				j.finished = time.UnixMilli(rec.FinishedMS)
-			}
-			// Re-seed the coordinator cache from rehydrated clean
-			// completions, so repeats keep hitting fleet-side across
-			// restarts (Put drops partial results itself).
-			if rec.State == serve.JobDone && rec.Digest != "" && co.results != nil {
-				co.results.Put(rec.Digest, rec.Rows, rec.Result)
-			}
-		} else {
-			j.durable = rec.Durable
-			resume = append(resume, j)
-		}
-		co.jobs[rec.ID] = j
-		co.order = append(co.order, rec.ID)
-	}
-	co.mu.Unlock()
-	for _, j := range resume {
-		co.jobsSubmitted.Add(1)
-		co.inFlight.Add(1)
-		co.wg.Add(1)
-		go func(j *cjob) {
-			defer co.wg.Done()
-			pl := co.redispatch(j)
-			if pl == nil {
-				return
-			}
-			j.mu.Lock()
-			if j.attempts == 0 {
-				j.attempts = 1
-			}
-			if j.started.IsZero() {
-				j.started = time.Now()
-			}
-			j.mu.Unlock()
-			co.wg.Add(1)
-			co.relay(j, pl)
-		}(j)
-	}
-}
-
-// snapshotRecords supplies the journal's rotation snapshot: every job's
-// durable state, in submission order, plus the id-sequence high water.
-func (co *Coordinator) snapshotRecords() ([]serve.JobRecord, int64) {
-	co.mu.Lock()
-	jobs := make([]*cjob, 0, len(co.order))
-	for _, id := range co.order {
-		jobs = append(jobs, co.jobs[id])
-	}
-	seq := co.seq
-	co.mu.Unlock()
-	out := make([]serve.JobRecord, len(jobs))
-	for i, j := range jobs {
-		j.mu.Lock()
-		out[i] = j.recordLocked()
-		j.mu.Unlock()
-	}
-	return out, seq
 }

@@ -11,9 +11,12 @@
 //     tables keyed by (design, start, hops). This is what makes the service
 //     worth running: the first job pays the cache warm-up and the crawl, and
 //     every later job rides on it.
-//   - Manager: job lifecycle — admission control (a bounded queue), a fixed
-//     set of runner goroutines, a global estimation-worker budget that
-//     per-job worker counts are carved from, cancellation, and metrics.
+//   - Manager: job lifecycle — the job table, result-cache admission, the
+//     journal, retention, cancellation, and metrics — over a Runner that
+//     executes jobs. The local runner (runner.go) is a bounded queue, a
+//     fixed set of runner goroutines, and a global estimation-worker budget
+//     that per-job worker counts are carved from; a fleet coordinator plugs
+//     in a remote one.
 //   - HTTP layer (http.go): POST /v1/jobs, GET /v1/jobs/{id} (+ NDJSON
 //     streaming of accepted samples as they are produced), DELETE for
 //     cancellation, /healthz, and a Prometheus-text /metrics endpoint.

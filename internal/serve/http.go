@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/osn"
 )
 
-// Handler returns the service's HTTP API over the manager:
+// Handler returns a daemon's HTTP API over a manager built by NewManager:
 //
 //	POST   /v1/jobs            submit a JobSpec, returns the job status (202)
 //	GET    /v1/jobs            list all jobs
@@ -77,17 +78,33 @@ func Handler(m *Manager) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		m.WriteProm(w)
 	})
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			submit(m, w, r)
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, map[string]any{"jobs": m.List()})
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
+	jobs := JobHandler(m, func(j *Job) any { return j.Status() })
+	mux.Handle("/v1/jobs", jobs)
+	mux.Handle("/v1/jobs/", jobs)
+	return mux
+}
+
+// JobHandler serves the job API over the manager — submit, list, status,
+// NDJSON stream, and cancel under /v1/jobs — rendering each job's status
+// JSON with view (a daemon's is Job.Status; a coordinator adds placement).
+func JobHandler(m *Manager, view func(*Job) any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs" {
+			switch r.Method {
+			case http.MethodPost:
+				submit(m, view, w, r)
+			case http.MethodGet:
+				jobs := m.Jobs()
+				out := make([]any, len(jobs))
+				for i, j := range jobs {
+					out[i] = view(j)
+				}
+				writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+			default:
+				httpError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
+			}
+			return
 		}
-	})
-	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id, stream := trimID(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"))
 		job, ok := m.Get(id)
 		if !ok {
@@ -98,18 +115,17 @@ func Handler(m *Manager) http.Handler {
 		case stream && r.Method == http.MethodGet:
 			streamJob(w, r, job)
 		case r.Method == http.MethodGet:
-			writeJSON(w, http.StatusOK, job.Status())
+			writeJSON(w, http.StatusOK, view(job))
 		case r.Method == http.MethodDelete:
 			m.Cancel(id)
-			writeJSON(w, http.StatusOK, job.Status())
+			writeJSON(w, http.StatusOK, view(job))
 		default:
 			httpError(w, http.StatusMethodNotAllowed, "use GET for status/stream or DELETE to cancel")
 		}
 	})
-	return mux
 }
 
-func submit(m *Manager, w http.ResponseWriter, r *http.Request) {
+func submit(m *Manager, view func(*Job) any, w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -117,17 +133,43 @@ func submit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}
-	job, err := m.Submit(spec)
+	job, err := m.submit(r.Context(), spec)
+	var ref *Refusal
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		shed(w, "queue_full")
+		Shed("queue_full").write(w)
 	case errors.Is(err, ErrClosed):
-		shed(w, "draining")
+		Shed("draining").write(w)
+	case errors.As(err, &ref):
+		ref.write(w)
 	case err != nil:
 		httpError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, job.Status())
+		writeJSON(w, http.StatusAccepted, view(job))
 	}
+}
+
+// Refusal is a refused submission with its HTTP answer ready-made; the job
+// routes write it as it stands. A coordinator relays a worker's shed or
+// rejection this way, so the client sees the worker's reason, Retry-After
+// and body exactly once.
+type Refusal struct {
+	Code       int
+	RetryAfter string
+	Body       []byte
+}
+
+func (f *Refusal) Error() string {
+	return fmt.Sprintf("serve: submission refused (%d): %s", f.Code, bytes.TrimSpace(f.Body))
+}
+
+func (f *Refusal) write(w http.ResponseWriter) {
+	if f.RetryAfter != "" {
+		w.Header().Set("Retry-After", f.RetryAfter)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(f.Code)
+	w.Write(f.Body)
 }
 
 // shedRetryAfter is the backoff hint attached to load-shedding 503s. One
@@ -135,19 +177,20 @@ func submit(m *Manager, w http.ResponseWriter, r *http.Request) {
 // well-behaved clients into a thundering herd.
 const shedRetryAfter = time.Second
 
-// shed answers an overloaded (or draining) submission: a typed 503 with a
-// machine-readable retry hint in both the Retry-After header (whole
+// Shed is the typed 503 answering an overloaded (or draining) submission,
+// with a machine-readable retry hint in both the Retry-After header (whole
 // seconds) and the JSON body (milliseconds, for sub-second policies).
-func shed(w http.ResponseWriter, reason string) {
+func Shed(reason string) *Refusal {
 	secs := int(shedRetryAfter / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	body, _ := json.MarshalIndent(map[string]any{
 		"error":          reason,
 		"retry_after_ms": shedRetryAfter.Milliseconds(),
-	})
+	}, "", "  ")
+	return &Refusal{Code: http.StatusServiceUnavailable, RetryAfter: strconv.Itoa(secs),
+		Body: append(body, '\n')}
 }
 
 // streamJob serves NDJSON: one line per accepted sample, as it is produced,

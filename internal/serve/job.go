@@ -9,11 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agg"
-	"repro/internal/core"
-	"repro/internal/fastrand"
 	"repro/internal/osn"
-	"repro/internal/walk"
 )
 
 // Job types accepted by the service.
@@ -152,6 +148,7 @@ type JobStatus struct {
 // samples is append-only, published under mu with cond broadcast so any
 // number of streamers can follow along.
 type Job struct {
+	m      *Manager
 	id     string
 	seq    int64  // numeric id suffix, persisted for id continuity across restarts
 	digest string // canonical content address (SpecDigest of the normalized spec)
@@ -176,14 +173,15 @@ type Job struct {
 	reason    string // typed failure reason (failed jobs)
 	samples   []Sample
 	result    *JobResult
+	runState  any // the Runner's own per-job state; opaque to the Manager
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 }
 
-func newJob(id string, spec JobSpec, now time.Time) *Job {
+func newJob(m *Manager, id string, spec JobSpec, now time.Time) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	j := &Job{id: id, spec: spec, ctx: ctx, cancel: cancel,
+	j := &Job{m: m, id: id, spec: spec, ctx: ctx, cancel: cancel,
 		state: JobQueued, submitted: now}
 	j.cond.L = &j.mu
 	return j
@@ -198,23 +196,19 @@ func (j *Job) Digest() string { return j.digest }
 // Spec returns the normalized spec the job runs under.
 func (j *Job) Spec() JobSpec { return j.spec }
 
-// Cancel requests cancellation: a queued job is finalized immediately, a
-// running job's context is cancelled and its workers abandon in-flight work
-// within one batch (see core.SampleNParallelCtx). It reports whether this
-// call finalized a still-queued job (so the caller can account it — runner
-// bookkeeping never sees such a job).
-func (j *Job) Cancel() bool {
-	j.cancel(nil) // cause defaults to context.Canceled
+// RunState returns the state its Runner keeps for the job (Placement.State,
+// or what it set with SetRunState); nil for result-cache hits.
+func (j *Job) RunState() any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobQueued {
-		return false
-	}
-	j.state = JobCancelled
-	j.errMsg = context.Canceled.Error()
-	j.finished = time.Now()
-	j.cond.Broadcast()
-	return true
+	return j.runState
+}
+
+// SetRunState replaces the Runner's per-job state.
+func (j *Job) SetRunState(v any) {
+	j.mu.Lock()
+	j.runState = v
+	j.mu.Unlock()
 }
 
 // expired reports whether the job is terminal and finished before cutoff
@@ -252,12 +246,90 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// publish appends one sample and wakes all streamers.
-func (j *Job) publish(s Sample) {
+// Begin moves a queued job to running and reports whether it did (false
+// when the job was cancelled while it waited). Runners call it once, when
+// execution starts.
+func (j *Job) Begin() bool {
 	j.mu.Lock()
+	if j.state != JobQueued {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = JobRunning
+	j.started = time.Now()
+	wait := j.started.Sub(j.submitted)
+	j.mu.Unlock()
+	j.m.met.queueWait.Observe(wait)
+	j.m.met.jobsInFlight.Add(1)
+	return true
+}
+
+// Publish appends a row whose index continues the job's sample log, wakes
+// every streamer, and advances the journaled durable high-water mark. A row
+// already in the log is dropped: a re-run replaying its deterministic prefix
+// — after a hand-off between workers or a restart — extends the stream
+// exactly where it stopped.
+func (j *Job) Publish(s Sample) {
+	j.mu.Lock()
+	if s.Index != len(j.samples) {
+		j.mu.Unlock()
+		return
+	}
 	j.samples = append(j.samples, s)
+	n := len(j.samples)
 	j.cond.Broadcast()
 	j.mu.Unlock()
+	j.m.met.samples.Add(1)
+	// On a resumed job the re-run's first k samples fall inside the
+	// already-durable prefix and append nothing.
+	j.m.journalProgress(j, n)
+}
+
+// Finish moves the job to a terminal state; only the first call counts. A
+// clean completion is memoized in the result cache, and the terminal record
+// is journaled.
+func (j *Job) Finish(state JobState, errMsg, reason string, result *JobResult) {
+	j.m.terminate(j, false, state, errMsg, reason, result)
+}
+
+// finish classifies a local run's outcome. On failure the typed cause
+// becomes JobStatus.FailureReason and any partial result (samples produced
+// before the failure) is kept with Partial set.
+func (j *Job) finish(result *JobResult, err error) {
+	var bu *osn.BackendUnavailableError
+	switch {
+	case err == nil:
+		j.Finish(JobDone, "", "", result)
+	case errors.Is(err, context.Canceled) && !errors.As(err, &bu):
+		j.Finish(JobCancelled, err.Error(), "", nil)
+	default:
+		reason := ""
+		switch {
+		case errors.As(err, &bu):
+			reason = ReasonBackendUnavailable
+		case errors.Is(err, context.DeadlineExceeded):
+			reason = ReasonDeadlineExceeded
+		}
+		if result != nil {
+			result.Partial = true
+		}
+		j.Finish(JobFailed, err.Error(), reason, result)
+	}
+}
+
+// abandon ends a job its runner left unfinished at Close, in memory only:
+// streamers see a terminal state, and no terminal record is journaled, so
+// the next boot resumes the job.
+func (j *Job) abandon() {
+	j.mu.Lock()
+	if !j.state.Terminal() {
+		j.state = JobCancelled
+		j.errMsg = "abandoned: " + ErrClosed.Error()
+		j.finished = time.Now()
+		j.cond.Broadcast()
+	}
+	j.mu.Unlock()
+	j.cancel(ErrClosed)
 }
 
 // wake re-evaluates every streamer's wait condition (used when a streaming
@@ -367,87 +439,95 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns job admission, scheduling, and bookkeeping for one Engine.
+// Manager owns everything about a job except running it: the job table and
+// ids, admission through the result cache, the journal, retention, and the
+// job counters. Its Runner runs the jobs — on the local engine for a
+// daemon, on remote workers for a fleet coordinator.
 type Manager struct {
-	eng *Engine
+	eng *Engine // nil when the runner is not local
+	run Runner
 	cfg Config
 	met *Metrics
-	env NormEnv
 
 	// results memoizes completed jobs by spec digest (nil when disabled).
-	// Admission consults it before the bounded queue, so hits bypass
-	// admission control entirely — a repeat submission is served even while
-	// the queue is shedding fresh work.
+	// Admission consults it before placement, so hits bypass admission
+	// control entirely — a repeat submission is served even while the
+	// queue is shedding fresh work.
 	results *ResultCache
 
-	queue chan *Job
-
 	mu     sync.Mutex
-	cond   sync.Cond // worker-slot availability
-	free   int       // estimation-worker slots currently free
 	jobs   map[string]*Job
 	order  []string // submission order, for List
 	seq    int64
 	closed bool
 
 	stopSweep chan struct{} // closed by Close to stop the retention sweeper
+	sweepWG   sync.WaitGroup
+	drained   chan struct{} // closed when Close has finished
 
 	// Durability state (see recover.go). jl is atomic so a crash-simulating
 	// test can detach it mid-flight; Close swaps it out before closing.
 	jl             atomic.Pointer[Journal]
-	recWG          sync.WaitGroup // boot-recovery enqueue goroutine
 	recovering     atomic.Bool
 	recoverPending atomic.Int64 // resumed jobs not yet terminal
 	recoverStart   time.Time
 	recoveryDur    atomic.Int64 // ns, set when recovery completes
-
-	wg sync.WaitGroup
 }
 
-// NewManager starts cfg.Runners runner goroutines over the engine.
+// NewManager starts a manager that runs jobs on the engine: cfg.Runners
+// runner goroutines over a bounded queue and a global worker budget.
 func NewManager(eng *Engine, cfg Config) *Manager {
+	m := newManager(cfg)
+	m.eng = eng
+	m.run = newLocalRunner(m, eng, m.cfg)
+	m.start()
+	return m
+}
+
+// NewManagerWith starts a manager whose jobs run on run (a fleet
+// coordinator's remote runner). Only cfg's retention, journal, result-cache
+// and logging fields apply; the queue and worker budget are the local
+// runner's.
+func NewManagerWith(run Runner, cfg Config) *Manager {
+	m := newManager(cfg)
+	m.run = run
+	m.start()
+	return m
+}
+
+func newManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		eng:       eng,
-		cfg:       cfg,
-		met:       NewMetrics(),
-		queue:     make(chan *Job, cfg.QueueDepth),
-		free:      cfg.WorkerBudget,
-		jobs:      make(map[string]*Job),
-		stopSweep: make(chan struct{}),
-	}
-	m.cond.L = &m.mu
-	m.env = NormEnv{
-		GraphID:          eng.GraphID(),
-		NumNodes:         eng.NumNodes(),
-		DefaultStart:     eng.defaultStart,
-		DefaultWalkLen:   eng.defaultWalkLen,
-		MaxWorkersPerJob: cfg.MaxWorkersPerJob,
+		cfg:          cfg,
+		met:          NewMetrics(),
+		jobs:         make(map[string]*Job),
+		stopSweep:    make(chan struct{}),
+		drained:      make(chan struct{}),
+		recoverStart: time.Now(),
 	}
 	if cfg.CacheBytes > 0 {
 		m.results = NewResultCache(cfg.CacheBytes)
 	}
-	m.recoverStart = time.Now()
-	if cfg.Journal != nil {
-		m.jl.Store(cfg.Journal)
-		m.recoverFromJournal(cfg.Journal)
-		cfg.Journal.SetSnapshot(m.snapshotRecords)
+	return m
+}
+
+// start recovers the journal and starts the retention sweeper.
+func (m *Manager) start() {
+	if m.cfg.Journal != nil {
+		m.jl.Store(m.cfg.Journal)
+		m.recoverFromJournal(m.cfg.Journal)
+		m.cfg.Journal.SetSnapshot(m.snapshotRecords)
 	}
-	for i := 0; i < cfg.Runners; i++ {
-		m.wg.Add(1)
-		go m.runner()
-	}
-	if cfg.Retention > 0 {
-		m.wg.Add(1)
+	if m.cfg.Retention > 0 {
+		m.sweepWG.Add(1)
 		go m.sweeper()
 	}
-	return m
 }
 
 // sweeper periodically evicts terminal job records older than the
 // configured retention.
 func (m *Manager) sweeper() {
-	defer m.wg.Done()
+	defer m.sweepWG.Done()
 	t := time.NewTicker(m.cfg.SweepInterval)
 	defer t.Stop()
 	for {
@@ -501,23 +581,20 @@ func (m *Manager) Sweep(now time.Time) int {
 // Metrics returns the manager's metric registry (for the /metrics endpoint).
 func (m *Manager) Metrics() *Metrics { return m.met }
 
-// Engine returns the engine the manager schedules over.
+// Engine returns the engine the manager schedules over (nil when its jobs
+// run remotely).
 func (m *Manager) Engine() *Engine { return m.eng }
 
 // Config returns the effective (defaulted) configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// normalize fills spec defaults and validates against the manager's
-// environment; the result is the contract the job's determinism is stated
-// over (see NormalizeSpec).
-func (m *Manager) normalize(spec JobSpec) (JobSpec, error) {
-	return NormalizeSpec(spec, m.env)
-}
-
 // NormEnv returns the normalization environment this manager admits specs
 // under. The cluster coordinator mirrors it fleet-side so coordinator and
 // worker compute identical digests.
-func (m *Manager) NormEnv() NormEnv { return m.env }
+func (m *Manager) NormEnv() NormEnv {
+	env, _ := m.run.Env()
+	return env
+}
 
 // ResultCacheStats returns a snapshot of the job result cache's meters
 // (Enabled false, all zeros, when the cache is disabled).
@@ -536,76 +613,104 @@ func (m *Manager) Draining() bool {
 	return m.closed
 }
 
-// Submit normalizes and enqueues a job. Admission consults the result cache
-// first: a digest already memoized is served as an instantly-terminal job —
-// zero walk steps, zero charges, no queue slot, no estimation workers — so
-// repeat submissions are immune to overload shedding. Otherwise it fails
-// fast with ErrQueueFull when the bounded queue is at capacity (admission
-// control), never blocking the caller.
+// Submit admits a job. Admission consults the result cache first: a digest
+// already memoized is served as an instantly-terminal job — zero walk
+// steps, zero charges, no queue slot, no estimation workers — so repeat
+// submissions are immune to overload shedding. Otherwise the runner places
+// and starts the job, and a full queue fails fast with ErrQueueFull, never
+// blocking the caller.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	spec, err := m.normalize(spec)
-	if err != nil {
-		m.met.jobsRejected.Add(1)
-		return nil, err
+	return m.submit(context.Background(), spec)
+}
+
+func (m *Manager) submit(ctx context.Context, spec JobSpec) (*Job, error) {
+	if m.Draining() {
+		m.met.jobsShed.Add(1)
+		return nil, ErrClosed
 	}
-	digest := SpecDigest(m.env, spec)
-	if m.results != nil {
-		if rows, cres, ok := m.results.Get(digest); ok {
-			return m.admitCached(spec, digest, rows, cres)
+	if env, ok := m.run.Env(); ok && m.results != nil {
+		if norm, err := NormalizeSpec(spec, env); err == nil {
+			digest := SpecDigest(env, norm)
+			if rows, cres, ok := m.results.Get(digest); ok {
+				return m.admitCached(norm, digest, rows, cres)
+			}
 		}
 	}
-	// The closed check, the non-blocking enqueue, and the registration form
-	// one critical section: Close sets closed under the same lock before it
-	// ever closes the channel (so this send cannot race a closed queue),
-	// and a job is registered if and only if its enqueue succeeded (so a
-	// rejected submission can never corrupt the registry under concurrent
-	// submitters).
+	pl, err := m.run.Place(ctx, spec)
+	if err != nil {
+		var ref *Refusal
+		if errors.As(err, &ref) && ref.Code == 503 {
+			m.met.jobsShed.Add(1)
+		} else {
+			m.met.jobsRejected.Add(1)
+		}
+		return nil, err
+	}
+	// The closed check, the runner's non-blocking start, and the
+	// registration form one critical section: Close sets closed under the
+	// same lock before it stops the runner (so a start never races a
+	// stopped runner, and a placement that took a while is refused if
+	// Close ran meanwhile), and a job is registered if and only if its
+	// start succeeded.
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		m.met.jobsShed.Add(1)
 		return nil, ErrClosed
 	}
+	job := m.newJobLocked(pl.Spec, pl.Digest, time.Now())
+	job.runState = pl.State
+	if err := m.run.Start(job); err != nil {
+		m.mu.Unlock()
+		m.met.jobsRejected.Add(1)
+		m.met.jobsShed.Add(1)
+		return nil, err
+	}
+	m.registerLocked(job)
+	m.mu.Unlock()
+	m.admitted(job, "accepted")
+	return job, nil
+}
+
+// newJobLocked builds the next-numbered job. m.mu held.
+func (m *Manager) newJobLocked(spec JobSpec, digest string, now time.Time) *Job {
 	m.seq++
-	id := fmt.Sprintf("job-%06d", m.seq)
-	job := newJob(id, spec, time.Now())
+	job := newJob(m, fmt.Sprintf("job-%06d", m.seq), spec, now)
 	job.seq = m.seq
 	job.digest = digest
 	if m.journal() != nil {
 		job.journaled = make(chan struct{})
 	}
-	select {
-	case m.queue <- job:
-		m.jobs[id] = job
-		m.order = append(m.order, id)
-		m.mu.Unlock()
-		// The accepted record is appended outside m.mu (the journal may
-		// rotate, and rotation snapshots through m.mu); the runner and any
-		// canceller wait on job.journaled, so admission is always the
-		// job's first durable record.
-		if job.journaled != nil {
-			m.journalAccepted(job)
-			close(job.journaled)
-		}
-		m.met.jobsSubmitted.Add(1)
-		if m.cfg.Logf != nil {
-			m.cfg.Logf("job %s accepted digest=%s", id, digest)
-		}
-		return job, nil
-	default:
-		m.mu.Unlock()
-		m.met.jobsRejected.Add(1)
-		m.met.jobsShed.Add(1)
-		return nil, ErrQueueFull
+	return job
+}
+
+func (m *Manager) registerLocked(j *Job) {
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+}
+
+// admitted makes a registered job's admission durable and counts it. The
+// accepted record is appended outside m.mu (the journal may rotate, and
+// rotation snapshots through m.mu); the runner and any canceller wait on
+// job.journaled, so admission is always the job's first durable record.
+func (m *Manager) admitted(j *Job, how string) {
+	if j.journaled != nil {
+		m.journalAccepted(j)
+		close(j.journaled)
+	}
+	m.met.jobsSubmitted.Add(1)
+	if m.cfg.Logf != nil {
+		m.cfg.Logf("job %s %s digest=%s", j.id, how, j.digest)
 	}
 }
 
 // admitCached serves a repeat submission from the result cache: the job is
 // registered already terminal, its rows the original run's rows verbatim
 // (identical i/node/steps/cost sequence) and its result a fresh summary
-// charging zero queries. It never touches the bounded queue or the worker
-// budget — the only admission gate that still applies is Close.
+// charging zero queries. It never reaches the runner — the only admission
+// gate that still applies is Close.
 func (m *Manager) admitCached(spec JobSpec, digest string, rows []Sample, cres *JobResult) (*Job, error) {
+	fleet := m.run.FleetQueries()
 	now := time.Now()
 	m.mu.Lock()
 	if m.closed {
@@ -613,14 +718,7 @@ func (m *Manager) admitCached(spec JobSpec, digest string, rows []Sample, cres *
 		m.met.jobsShed.Add(1)
 		return nil, ErrClosed
 	}
-	m.seq++
-	id := fmt.Sprintf("job-%06d", m.seq)
-	job := newJob(id, spec, now)
-	job.seq = m.seq
-	job.digest = digest
-	if m.journal() != nil {
-		job.journaled = make(chan struct{})
-	}
+	job := m.newJobLocked(spec, digest, now)
 	job.state = JobDone
 	job.started = now
 	job.finished = now
@@ -628,27 +726,19 @@ func (m *Manager) admitCached(spec JobSpec, digest string, rows []Sample, cres *
 	job.result = &JobResult{
 		Samples:        cres.Samples,
 		Queries:        0,
-		FleetQueries:   m.eng.CacheStats().Queries,
+		FleetQueries:   fleet,
 		AcceptanceRate: cres.AcceptanceRate,
 		Estimate:       cres.Estimate,
 		Nodes:          cres.Nodes,
 		Cached:         true,
 	}
-	m.jobs[id] = job
-	m.order = append(m.order, id)
+	m.registerLocked(job)
 	m.mu.Unlock()
-	if job.journaled != nil {
-		m.journalAccepted(job)
-		close(job.journaled)
-	}
-	m.met.jobsSubmitted.Add(1)
+	m.admitted(job, "served from result cache")
 	m.met.jobsDone.Add(1)
 	// The hit is journaled as a self-contained terminal record, so it
 	// survives restart exactly like a live run's record.
 	m.journalTerminal(job)
-	if m.cfg.Logf != nil {
-		m.cfg.Logf("job %s served from result cache digest=%s", id, digest)
-	}
 	return job, nil
 }
 
@@ -660,15 +750,20 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List returns snapshots of all known jobs in submission order.
-func (m *Manager) List() []JobStatus {
+// Jobs returns all known jobs in submission order.
+func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
+	defer m.mu.Unlock()
+	jobs := make([]*Job, 0, len(m.order))
+	for _, id := range m.order {
 		jobs = append(jobs, m.jobs[id])
 	}
-	m.mu.Unlock()
+	return jobs
+}
+
+// List returns snapshots of all known jobs in submission order.
+func (m *Manager) List() []JobStatus {
+	jobs := m.Jobs()
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -688,282 +783,91 @@ func (m *Manager) RetainedJobs() int {
 // known.
 func (m *Manager) Cancel(id string) bool {
 	j, ok := m.Get(id)
-	if !ok {
+	if ok {
+		m.cancel(j)
+	}
+	return ok
+}
+
+// cancel finalizes a still-queued job here (no runner has it yet) and asks
+// the runner to stop a running one.
+func (m *Manager) cancel(j *Job) {
+	if m.terminate(j, true, JobCancelled, context.Canceled.Error(), "", nil) {
+		j.cancel(nil)
+		return
+	}
+	if j.Status().State == JobRunning {
+		m.run.Cancel(j)
+	}
+}
+
+// terminate moves j to a terminal state exactly once and reports whether
+// this call did; with queuedOnly it acts only on a job still queued. It
+// counts the outcome, memoizes a clean completion, and journals the
+// terminal record.
+func (m *Manager) terminate(j *Job, queuedOnly bool, state JobState, errMsg, reason string, result *JobResult) bool {
+	j.mu.Lock()
+	if j.state.Terminal() || (queuedOnly && j.state != JobQueued) {
+		j.mu.Unlock()
 		return false
 	}
-	if j.Cancel() {
-		// Queued jobs never reach the runner's finish path; finalize their
-		// terminal bookkeeping (journal record, recovery debt) here.
+	j.state = state
+	j.errMsg = errMsg
+	j.reason = reason
+	j.result = result
+	j.finished = time.Now()
+	run := j.finished.Sub(j.started)
+	started := !j.started.IsZero()
+	rows := j.samples
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	switch state {
+	case JobDone:
+		m.met.jobsDone.Add(1)
+		if m.results != nil && j.digest != "" {
+			// Put drops partial results itself. The rows slice is terminal
+			// and append-only — safe to share with every future hit.
+			m.results.Put(j.digest, rows, result)
+		}
+	case JobCancelled:
 		m.met.jobsCancelled.Add(1)
-		m.noteTerminal(j)
+	default:
+		m.met.jobsFailed.Add(1)
 	}
+	if started {
+		m.met.jobsInFlight.Add(-1)
+		m.met.runDur.Observe(run)
+	}
+	m.noteTerminal(j)
 	return true
 }
 
-// Close stops accepting jobs, cancels everything in flight, and waits for
-// the runners to drain.
+// Close stops accepting jobs, has the runner stop everything in flight,
+// and waits for it. A daemon's runner cancels its jobs (journaled as
+// cancelled); a coordinator's abandons them (nothing journaled, so a
+// restart re-dispatches).
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.wg.Wait()
+		<-m.drained
 		return
 	}
 	m.closed = true
 	close(m.stopSweep)
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
 	m.mu.Unlock()
-	// The boot-recovery enqueuer must stop before the queue closes.
-	m.recWG.Wait()
-	for _, j := range jobs {
-		if j.Cancel() {
-			m.met.jobsCancelled.Add(1)
-			m.noteTerminal(j)
-		}
+	m.sweepWG.Wait()
+	m.run.Close()
+	for _, j := range m.Jobs() {
+		j.abandon()
 	}
-	close(m.queue)
-	m.wg.Wait()
 	// Every terminal record is appended by now; a graceful drain leaves the
 	// journal flushed and fsynced, so the next boot recovers exactly the
 	// drained state.
 	if jl := m.jl.Swap(nil); jl != nil {
 		jl.Close()
 	}
-}
-
-// acquire blocks until n estimation-worker slots are free and takes them.
-// n is clamped to WorkerBudget at normalization, so acquisition always
-// eventually succeeds.
-func (m *Manager) acquire(n int) {
-	m.mu.Lock()
-	for m.free < n {
-		m.cond.Wait()
-	}
-	m.free -= n
-	m.mu.Unlock()
-}
-
-func (m *Manager) release(n int) {
-	m.mu.Lock()
-	m.free += n
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// runner is one of cfg.Runners job loops: pop, carve workers from the global
-// budget, run, release.
-func (m *Manager) runner() {
-	defer m.wg.Done()
-	for job := range m.queue {
-		// A journaled job must not run (and so must not append progress)
-		// before its accepted record is durable.
-		job.waitJournaled()
-		job.mu.Lock()
-		if job.state != JobQueued { // cancelled while queued
-			job.mu.Unlock()
-			continue
-		}
-		job.state = JobRunning
-		job.started = time.Now()
-		job.mu.Unlock()
-
-		m.met.queueWait.Observe(job.started.Sub(job.submitted))
-		workers := job.spec.Workers
-		m.acquire(workers)
-		m.met.jobsInFlight.Add(1)
-		result, err := m.run(job)
-		m.met.jobsInFlight.Add(-1)
-		m.release(workers)
-		m.finish(job, result, err)
-	}
-}
-
-// finish finalizes a job's state, result, and metrics. On failure the typed
-// cause is classified into JobStatus.FailureReason and any partial result
-// (samples produced before the failure) is preserved with Partial set.
-func (m *Manager) finish(job *Job, result *JobResult, err error) {
-	job.mu.Lock()
-	job.finished = time.Now()
-	var bu *osn.BackendUnavailableError
-	switch {
-	case err == nil:
-		job.state = JobDone
-		job.result = result
-		m.met.jobsDone.Add(1)
-	case errors.Is(err, context.Canceled) && !errors.As(err, &bu):
-		job.state = JobCancelled
-		job.errMsg = err.Error()
-		m.met.jobsCancelled.Add(1)
-	default:
-		job.state = JobFailed
-		job.errMsg = err.Error()
-		switch {
-		case errors.As(err, &bu):
-			job.reason = ReasonBackendUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			job.reason = ReasonDeadlineExceeded
-		}
-		if result != nil {
-			result.Partial = true
-			job.result = result
-		}
-		m.met.jobsFailed.Add(1)
-	}
-	run := job.finished.Sub(job.started)
-	job.cond.Broadcast()
-	job.mu.Unlock()
-	if err == nil && m.results != nil && job.digest != "" {
-		// Memoize the clean completion (Put drops partial results itself).
-		// The samples slice is terminal and append-only — safe to share
-		// with the cache and every future hit.
-		m.results.Put(job.digest, job.samples, result)
-	}
-	m.met.runDur.Observe(run)
-	m.noteTerminal(job)
-}
-
-// run executes one job on the calling runner goroutine. On failure it
-// returns the samples produced so far as a partial result alongside the
-// error, so degradation is graceful: a backend outage or deadline overrun
-// voids only the remainder of the job, never the work already streamed.
-func (m *Manager) run(job *Job) (*JobResult, error) {
-	spec := job.spec
-	d, err := walk.ByName(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-	// The run context layers, derived from the job's cancellable context:
-	// an optional per-job deadline, and the failure-cancel hook that lets
-	// the resilience middleware cancel this job with a typed
-	// BackendUnavailableError when its retry policy gives up. Both causes
-	// surface through context.Cause and are classified by finish.
-	runCtx := job.ctx
-	if spec.DeadlineMS > 0 {
-		var cancelDL context.CancelFunc
-		runCtx, cancelDL = context.WithTimeout(runCtx, time.Duration(spec.DeadlineMS)*time.Millisecond)
-		defer cancelDL()
-	}
-	runCtx = osn.WithFailureCancel(runCtx, job.cancel)
-	rng := fastrand.New(spec.Seed)
-	c := m.eng.NewClientCtx(runCtx, rng)
-	fleetBefore := c.TotalQueries()
-
-	onSample := func(ev core.SampleEvent) {
-		job.publish(Sample{Index: ev.Index, Node: ev.Node,
-			Steps: ev.Steps, Cost: ev.CostAfter})
-		m.met.samples.Add(1)
-		// Durability high-water mark. On a resumed job the re-run's first k
-		// samples fall inside the already-durable prefix and append nothing.
-		m.journalProgress(job, ev.Index+1)
-	}
-
-	switch spec.Type {
-	case TypeWalkPath:
-		// One plain forward walk, streamed node by node, with a
-		// cancellation check per step.
-		u := *spec.Start
-		for i := 1; i <= spec.Count; i++ {
-			if runCtx.Err() != nil {
-				return &JobResult{
-					Samples:      i - 1,
-					Queries:      c.TotalQueries() - fleetBefore,
-					FleetQueries: c.TotalQueries(),
-				}, context.Cause(runCtx)
-			}
-			u = d.Step(c, u, rng)
-			s := Sample{Index: i - 1, Node: u, Steps: i, Cost: c.TotalQueries()}
-			job.publish(s)
-			m.met.samples.Add(1)
-			m.journalProgress(job, i)
-		}
-		return &JobResult{
-			Samples:      spec.Count,
-			Queries:      c.TotalQueries() - fleetBefore,
-			FleetQueries: c.TotalQueries(),
-		}, nil
-
-	case TypeSample, TypeEstimateMean:
-		cfg := core.Config{
-			Design:         d,
-			Start:          *spec.Start,
-			WalkLength:     spec.WalkLength,
-			UseWeighted:    !spec.NoWeighted,
-			BackwardReps:   spec.BackwardReps,
-			VarianceBudget: spec.VarianceBudget,
-			// Allocate WS-BW history pages from the engine's shared pool
-			// and release them when this job is done (the deferred
-			// ReleasePages below), so per-job history churn is bounded by
-			// the job's visited mass instead of regrown from zero.
-			Pages: m.eng.pages,
-		}
-		if !spec.NoCrawl {
-			// Reuse (or build-and-memoize) the crawl table instead of
-			// letting the sampler crawl per job.
-			ct, err := m.eng.crawlTable(runCtx, c, d, *spec.Start, spec.CrawlHops)
-			if err != nil {
-				return nil, primaryCause(runCtx, err)
-			}
-			cfg.Crawl = ct
-		}
-		s, err := core.NewSampler(c, cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		// Safe on every path out of run: SampleN*Ctx quiesce their workers
-		// before returning, so nothing can still read the pages.
-		defer s.ReleasePages()
-		s.OnSample = onSample
-		var res walk.Result
-		if spec.Workers > 1 {
-			res, err = s.SampleNParallelCtx(runCtx, spec.Count, spec.Workers)
-		} else {
-			res, err = s.SampleNCtx(runCtx, spec.Count)
-		}
-		out := &JobResult{
-			Samples:        res.Len(),
-			Queries:        c.TotalQueries() - fleetBefore,
-			FleetQueries:   c.TotalQueries(),
-			AcceptanceRate: s.AcceptanceRate(),
-			Nodes:          res.Nodes,
-		}
-		if err != nil {
-			// The samplers return the in-order prefix drawn before the
-			// error; keep it as the partial result.
-			return out, primaryCause(runCtx, err)
-		}
-		if spec.Type == TypeEstimateMean {
-			if runCtx.Err() != nil {
-				return out, context.Cause(runCtx)
-			}
-			est, err := agg.EstimateMean(c, d, spec.Attr, res.Nodes)
-			if err != nil {
-				return out, primaryCause(runCtx, err)
-			}
-			out.Estimate = &est
-			out.Queries = c.TotalQueries() - fleetBefore
-			out.FleetQueries = c.TotalQueries()
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("serve: unknown job type %q", spec.Type)
-}
-
-// primaryCause resolves which error really failed the run: when the run
-// context was cancelled, its cause (the typed backend failure, the deadline,
-// or the user's cancel) is the primary failure and err is downstream fallout
-// — a backend giving up mid-access degrades that access to an empty answer,
-// and whatever the sampler tripped over next (an impossible walk state, a
-// missing attribute) is a symptom, not the cause.
-func primaryCause(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
-	}
-	return err
+	close(m.drained)
 }
 
 // trimID strips an optional "/stream" suffix and leading/trailing slashes

@@ -115,7 +115,7 @@ func (m *Metrics) Uptime() time.Duration { return time.Since(m.start) }
 // engine's cache meters (atomic snapshots from internal/osn),
 // simulated-backend meters when present, and the per-stage latency
 // histograms. retained is the current job-record count (the quantity the
-// retention sweeper bounds).
+// retention sweeper bounds); eng is nil on a manager whose jobs run remotely.
 func (m *Metrics) WriteProm(w io.Writer, eng *Engine, retained int) {
 	up := m.Uptime().Seconds()
 	counter := func(name, help string, v int64) {
@@ -146,6 +146,20 @@ func (m *Metrics) WriteProm(w io.Writer, eng *Engine, retained int) {
 	gauge("walknotwait_samples_per_second", "Accepted samples per second of uptime.", rate)
 	gauge("walknotwait_uptime_seconds", "Daemon uptime.", up)
 
+	fmt.Fprintf(w, "# HELP walknotwait_stage_seconds Per-stage job latency.\n")
+	fmt.Fprintf(w, "# TYPE walknotwait_stage_seconds histogram\n")
+	m.queueWait.writeProm(w, "walknotwait_stage_seconds", "stage", "queue")
+	m.runDur.writeProm(w, "walknotwait_stage_seconds", "stage", "run")
+
+	if eng != nil {
+		writeEngineProm(w, eng, counter, gauge)
+	}
+}
+
+// writeEngineProm writes the engine's meters: the shared cache (atomic
+// snapshots from internal/osn) and whichever simulated, resilient, and
+// fault-injecting backend layers the engine fronts.
+func writeEngineProm(w io.Writer, eng *Engine, counter func(string, string, int64), gauge func(string, string, float64)) {
 	cs := eng.CacheStats()
 	counter("walknotwait_queries_charged_total", "Fleet-wide query cost (the paper's cost axis).", cs.Queries)
 	counter("walknotwait_cache_calls_total", "Interface calls, cached or not.", cs.Calls)
@@ -178,11 +192,6 @@ func (m *Metrics) WriteProm(w io.Writer, eng *Engine, retained int) {
 			fmt.Fprintf(w, "walknotwait_backend_faults_total{kind=%q} %d\n", osn.FaultKind(k).String(), n)
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP walknotwait_stage_seconds Per-stage job latency.\n")
-	fmt.Fprintf(w, "# TYPE walknotwait_stage_seconds histogram\n")
-	m.queueWait.writeProm(w, "walknotwait_stage_seconds", "stage", "queue")
-	m.runDur.writeProm(w, "walknotwait_stage_seconds", "stage", "run")
 }
 
 // WriteProm writes the manager's full metric set: the registry's job and
