@@ -190,37 +190,43 @@ func TestEstimateAdaptiveBatchFixedReps(t *testing.T) {
 // reference path at the same (seed, workers), over the in-memory, disk-CSR,
 // and simulated-remote backends, and requires identical sample sequences,
 // per-sample step counts, query-cost trajectories, and total backward
-// steps.
+// steps. Backend capability picks the kernel: the scalar run uses the bare
+// local backend, and the batch run wraps the same backend in a RemoteSim,
+// which advertises ConcurrentBatch (zero latency for mem and disk-CSR, a
+// real simulated round trip for sim).
 func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
 	csr := filepath.Join(t.TempDir(), "g.csr")
 	if err := graph.SaveCSR(csr, g, nil); err != nil {
 		t.Fatal(err)
 	}
-
+	mem := func() (osn.Backend, func()) { return osn.NewMemBackend(g), func() {} }
 	backends := []struct {
-		name string
-		mk   func() (osn.Backend, func())
+		name    string
+		mk      func() (osn.Backend, func())
+		latency time.Duration
+		jitter  time.Duration
 	}{
-		{"mem", func() (osn.Backend, func()) { return osn.NewMemBackend(g), func() {} }},
-		{"disk-csr", func() (osn.Backend, func()) {
+		{name: "mem", mk: mem},
+		{name: "disk-csr", mk: func() (osn.Backend, func()) {
 			be, m, err := osn.OpenDiskBackend(csr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return be, func() { m.Close() }
 		}},
-		{"sim", func() (osn.Backend, func()) {
-			return osn.NewRemoteSim(osn.NewMemBackend(g), 30*time.Microsecond, 10*time.Microsecond, 64), func() {}
-		}},
+		{name: "sim", mk: mem, latency: 30 * time.Microsecond, jitter: 10 * time.Microsecond},
 	}
 
 	const n, workers = 20, 4
 	for _, be := range backends {
-		run := func(scalarEst bool) (walk.Result, int64, int64) {
+		run := func(batch bool) (walk.Result, int64, int64) {
 			t.Helper()
 			backend, done := be.mk()
 			defer done()
+			if batch {
+				backend = osn.NewRemoteSim(backend, be.latency, be.jitter, 64)
+			}
 			net := osn.NewNetworkOn(backend)
 			rng := rand.New(rand.NewSource(7))
 			c := osn.NewClient(net, osn.CostUniqueNodes, rng)
@@ -236,19 +242,24 @@ func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pin the kernel explicitly: the scalar run is the reference,
-			// the other run forces the batch kernel even on the local
-			// backends where auto-selection would pick scalar.
-			s.ScalarEstimation = scalarEst
-			s.BatchEstimation = !scalarEst
+			if got := c.ConcurrentBatch(); got != batch {
+				t.Fatalf("%s: ConcurrentBatch = %v, want %v", be.name, got, batch)
+			}
 			res, err := s.SampleNParallel(n, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ranBatch := false
+			for _, e := range s.workerEsts {
+				ranBatch = ranBatch || e.vec != nil
+			}
+			if ranBatch != batch {
+				t.Fatalf("%s: batch kernel ran = %v, want %v", be.name, ranBatch, batch)
+			}
 			return res, s.est.StepsTaken, c.TotalQueries()
 		}
-		want, wantSteps, wantQ := run(true)
-		got, gotSteps, gotQ := run(false)
+		want, wantSteps, wantQ := run(false)
+		got, gotSteps, gotQ := run(true)
 		if len(got.Nodes) != len(want.Nodes) {
 			t.Fatalf("%s: sample counts differ: %d vs %d", be.name, len(got.Nodes), len(want.Nodes))
 		}

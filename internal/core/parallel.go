@@ -107,24 +107,19 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 				Start:   s.cfg.Start,
 				Crawl:   s.est.Crawl,
 				Epsilon: s.cfg.Epsilon,
-				// The pipeline estimates fresh candidates against
-				// short-lived snapshot generations; measured on the
-				// end-to-end mem benchmark, the step-distribution cache
-				// rebuilds entries faster than it serves them there
-				// (~20% overhead), so it stays off. It pays in
-				// EstimateAllParallel, where every node is estimated
-				// repeatedly against one snapshot.
-				DisableStepCache: true,
 			}
 		}
 	}
 	ests := s.workerEsts
 
-	// Worker kernel selection (see the ScalarEstimation/BatchEstimation
-	// docs): vectorized batch kernel iff the backend resolves batches
-	// concurrently, unless a toggle pins it. Either kernel produces
-	// bit-identical results.
-	useScalar := s.ScalarEstimation || (!s.BatchEstimation && !s.c.ConcurrentBatch())
+	// Worker kernel selection: the vectorized batch kernel iff the backend
+	// resolves batches concurrently (Client.ConcurrentBatch), where one
+	// batched frontier resolution per design step replaces one round trip
+	// per walker step. On a local backend a batch is just a loop and the
+	// vector bookkeeping is overhead, so workers run the scalar
+	// EstimateAdaptive loop there (DESIGN.md, "When batching pays"). Either
+	// kernel produces bit-identical results.
+	useScalar := !s.c.ConcurrentBatch()
 
 	batch := 2 * workers
 	if batch < 8 {

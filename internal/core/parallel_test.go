@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/fastrand"
 	"repro/internal/gen"
 	"repro/internal/linalg"
 	"repro/internal/osn"
@@ -211,5 +213,149 @@ func TestHistorySnapshotIsolation(t *testing.T) {
 	empty := NewHistory().Snapshot()
 	if empty.Walks() != 0 || empty.Hits(0, 0) != 0 {
 		t.Error("empty snapshot not empty")
+	}
+}
+
+// TestSnapshotEstimatesAcrossGenerations checks that a snapshot is a
+// faithful WS-BW input: EstimateOnce against it equals EstimateOnce against
+// the live history at the same walk count, bit for bit, across successive
+// snapshot generations (older snapshots still alive) and across a Release
+// followed by re-recording the same walks.
+func TestSnapshotEstimatesAcrossGenerations(t *testing.T) {
+	const tSteps = 7
+	d := walk.SRW{}
+	g := gen.BarabasiAlbert(3000, 4, rand.New(rand.NewSource(21)))
+	net := osn.NewNetwork(g)
+	// Forward walks charge their own client so the two estimators' query
+	// meters stay comparable.
+	walker := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(6))
+	// A partial crawl table (shared, built on its own client) makes most
+	// estimates nonzero while steps 7..3 still run the WS-BW pick.
+	ct, err := BuildCrawlTable(osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(7)), d, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewHistory()
+	onSnap := &Estimator{Client: osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(5)), Design: d, Crawl: ct}
+	onLive := &Estimator{Client: osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(5)), Design: d, Crawl: ct, Hist: live}
+	rngS, rngL := fastrand.New(4), fastrand.New(4)
+	nonzero := 0
+
+	record := func(seed int64) int {
+		walkRNG := rand.New(rand.NewSource(seed))
+		var v int
+		for w := 0; w < 5; w++ {
+			path := walk.Path(walker, d, 0, tSteps, walkRNG)
+			live.RecordWalk(path)
+			v = path[len(path)-1]
+		}
+		return v
+	}
+	check := func(label string, snap *History, v int) {
+		t.Helper()
+		if snap.Walks() != live.Walks() {
+			t.Fatalf("%s: snapshot walks %d != live %d", label, snap.Walks(), live.Walks())
+		}
+		onSnap.Hist = snap
+		for i := 0; i < 6; i++ {
+			got, err1 := onSnap.EstimateOnce(v, tSteps, rngS)
+			want, err2 := onLive.EstimateOnce(v, tSteps, rngL)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: estimate errors: %v / %v", label, err1, err2)
+			}
+			if got != want {
+				t.Fatalf("%s rep %d: snapshot %v != live %v", label, i, got, want)
+			}
+			if got != 0 {
+				nonzero++
+			}
+		}
+	}
+
+	var snaps []*History
+	for k := 0; k < 8; k++ {
+		v := record(int64(13 + k))
+		snap := live.Snapshot()
+		snaps = append(snaps, snap)
+		check(fmt.Sprintf("generation %d", k), snap, v)
+	}
+	for _, s := range snaps {
+		s.Release()
+	}
+
+	// Release empties the live history; re-recording generation 0's walks
+	// must reproduce a history whose snapshot and live reads agree again.
+	live.Release()
+	v := record(13)
+	reborn := live.Snapshot()
+	check("after release", reborn, v)
+	reborn.Release()
+
+	if nonzero == 0 {
+		t.Fatal("every estimate was 0: the fixture never reaches the start node")
+	}
+	if onSnap.StepsTaken != onLive.StepsTaken {
+		t.Fatalf("StepsTaken %d != %d", onSnap.StepsTaken, onLive.StepsTaken)
+	}
+	if sq, lq := onSnap.Client.TotalQueries(), onLive.Client.TotalQueries(); sq != lq {
+		t.Fatalf("queries %d != %d", sq, lq)
+	}
+}
+
+// TestEstimateAllParallelGolden pins EstimateAllParallel's output bits —
+// SRW and MHRW, weighted backward sampling over a recorded history, one
+// fixed seed, 2 workers — to recorded values. The values were recorded
+// while a WS-BW step-distribution cache still served a few hundred of this
+// fixture's hub picks from a snapshot; they pin that the plain row gather
+// in backStep draws the same bits, and catch any later kernel change that
+// is not bit-identical.
+func TestEstimateAllParallelGolden(t *testing.T) {
+	g := gen.BarabasiAlbert(1000, 12, rand.New(rand.NewSource(51)))
+	net := osn.NewNetwork(g)
+	const steps, walks = 9, 200
+	want := map[string][]uint64{
+		"SRW": {
+			0x3f4013a553785fb3, 0x3f43349f633e0a82, 0x3f4ab64b6777d6b1, 0x3f4205945630fb82, 0x3f563fa327e045dd,
+			0x3f5459c87961c207, 0x3f430e506d78984a, 0x3f3be3986e5b0f4e, 0x3f457de0ac26254f, 0x3f49561f4bf1dd53,
+		},
+		"MHRW": {
+			0x3f223f6feda3b1aa, 0x3f3192f2e97f7da3, 0x3f40fe05c1c2a608, 0x3f2f1674955c1e57, 0x3f60ccbf35faeadc,
+			0x3f51724b08a1b283, 0x3f36b92a78215c8f, 0x3f3f1e9008eab784, 0x3f21b4d4a7e39eec, 0x3f3ad03a20093f9c,
+		},
+	}
+	for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
+		walker := osn.NewClient(net, osn.CostUniqueNodes, rand.New(rand.NewSource(3)))
+		walkRNG := rand.New(rand.NewSource(5))
+		hist := NewHistory()
+		var nodes []int
+		for w := 0; w < walks; w++ {
+			path := walk.Path(walker, d, 0, steps, walkRNG)
+			hist.RecordWalk(path)
+			if w%20 == 0 {
+				nodes = append(nodes, path[len(path)-1])
+			}
+		}
+		c := osn.NewClient(net, osn.CostUniqueNodes, rand.New(rand.NewSource(9)))
+		// A partial crawl table keeps the last hops exact so most estimates
+		// are nonzero, while steps 9..3 still run the WS-BW pick.
+		ct, err := BuildCrawlTable(c, d, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &Estimator{Client: c, Design: d, Start: 0, Crawl: ct, Hist: hist}
+		got, err := EstimateAllParallel(e, nodes, steps, 30, 60, 2, 2024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want[d.Name()]
+		if len(nodes) != len(w) {
+			t.Fatalf("%s: %d nodes, want %d", d.Name(), len(nodes), len(w))
+		}
+		for i, u := range nodes {
+			if bits := math.Float64bits(got[u]); bits != w[i] {
+				t.Errorf("%s: estimate for node %d = %#016x (%v), want %#016x (%v)",
+					d.Name(), u, bits, got[u], w[i], math.Float64frombits(w[i]))
+			}
+		}
 	}
 }
